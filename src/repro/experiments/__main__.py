@@ -222,8 +222,9 @@ def _report_outcomes(outcomes, args) -> list:
             from repro.analysis.windows import format_window_table
 
             for device in telemetry.get("devices", []):
-                print(f"[windowed telemetry: {outcome.name} / {device['ftl']}]")
-                print(format_window_table(device["windows"]))
+                if "windows" in device:  # absent when only tracing is on
+                    print(f"[windowed telemetry: {outcome.name} / {device['ftl']}]")
+                    print(format_window_table(device["windows"]))
                 if device.get("trace_file"):
                     print(f"[trace written to {device['trace_file']}]")
             print()

@@ -10,8 +10,7 @@ reads, and is at least as good on readseq.
 from __future__ import annotations
 
 from repro.analysis.latency import normalize
-from repro.experiments.runner import ALL_FTLS, ExperimentResult, Scale, ScaleSpec
-from repro.ssd.device import SSD
+from repro.experiments.runner import ALL_FTLS, ExperimentResult, Scale, ScaleSpec, prepare_ssd
 from repro.workloads.rocksdb import DbBench, MiniLSM
 
 __all__ = ["run"]
@@ -37,7 +36,8 @@ def run(
     random_tput: dict[str, float] = {}
     seq_tput: dict[str, float] = {}
     for ftl_name in ftls:
-        ssd = SSD.create(ftl_name, spec.geometry)
+        # A fresh device: the store's own fillseq/overwrite is the warm-up.
+        ssd = prepare_ssd(ftl_name, spec, warmup="none")
         lsm = MiniLSM(
             ssd,
             memtable_entries=max(256, num_keys // 64),

@@ -218,7 +218,7 @@ def plan_tasks(name: str, *, split: bool = True) -> list[ExperimentTask]:
 #: through ``prepare_ssd`` with the **default** config and timing; used by
 #: ``--dry-run`` to predict snapshot-store hits.  Experiments that sweep
 #: custom configs/timings ("custom") resolve their keys only at run time, and
-#: experiments without a device warm-up map to ``None``.
+#: experiments without a device warm-up (fresh devices only) map to ``None``.
 _WARM_PLANS: dict[str, tuple[str, tuple[str, ...]] | str | None] = {
     "fig02": ("steady", ("tpftl",)),
     "fig03": "custom",
@@ -340,6 +340,12 @@ def _concat(shards: Sequence[ExperimentResult], template: ExperimentResult) -> E
         for title, rows in shard.extra_tables.items():
             merged.extra_tables.setdefault(title, []).extend(rows)
         _deep_update(merged.raw, shard.raw)
+    telemetry = [shard.raw["telemetry"] for shard in shards if "telemetry" in shard.raw]
+    if telemetry:
+        # Each shard instrumented its own devices: keep every one of them.
+        merged.raw["telemetry"] = dict(
+            telemetry[0], devices=[device for block in telemetry for device in block["devices"]]
+        )
     merged.notes = _merged_notes(shards)
     return merged
 

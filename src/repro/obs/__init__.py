@@ -13,10 +13,11 @@ adds the time dimension:
   (GC invocations, CMT eviction flushes, translation reads, snapshot
   restores, batch-planning decisions) and exports them as Chrome
   trace-event JSON loadable in Perfetto or ``chrome://tracing``;
-* :data:`~repro.obs.trace.NULL_TRACER` is the zero-cost default every FTL
-  carries — the hot paths stay byte-for-byte identical while observability
-  is off, and the device only dispatches into its observed loop variants
-  once per ``run`` call when it is on.
+* :data:`~repro.obs.trace.NULL_TRACER` is the do-nothing default every FTL
+  carries.  The device's request loops check once per call whether a
+  recorder or an enabled tracer is attached; that flag guards one
+  per-request hook, so with observability off nothing is recorded and the
+  cost is one untaken branch per request.
 
 Wire it through :meth:`repro.ssd.device.SSD.enable_observability`, or from
 the command line with ``--metrics-window-us`` / ``--trace-out``

@@ -97,8 +97,13 @@ def create_ftl(
     return cls(geometry, timing=timing, config=config, stats=stats)
 
 
-#: Run classes of the batched loop's segment splitter.
+#: Run classes of the closed loop's segment splitter.
 _RUN_SCALAR, _RUN_READ, _RUN_WRITE = 0, 1, 2
+
+#: Requests pulled per chunk when ``run`` consults no planner (``batch`` of
+#: ``None`` or ``1``): every request then takes the scalar step, so the size
+#: only bounds how far a lazy request stream is buffered ahead.
+_SCALAR_CHUNK = 4096
 
 #: Flat code of a translation-page read, for the tracer's scalar-path walk.
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
@@ -107,10 +112,10 @@ _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATI
 def _segments(klass: "np.ndarray") -> Iterator[tuple[int, int, int]]:
     """Split a run-class column into maximal constant runs.
 
-    Yields ``(start, end, klass)`` half-open runs in order; the batched loop
+    Yields ``(start, end, klass)`` half-open runs in order; the closed loop
     executes :data:`_RUN_READ` runs through the FTL's read planner,
     :data:`_RUN_WRITE` runs through its write planner, and :data:`_RUN_SCALAR`
-    runs through the scalar path.
+    runs through the scalar step.
     """
     n = klass.shape[0]
     if n == 0:
@@ -124,22 +129,25 @@ def _segments(klass: "np.ndarray") -> Iterator[tuple[int, int, int]]:
 
 
 def _iter_request_chunks(
-    requests: "Iterable[HostRequest] | RequestBatch", batch: int
-) -> Iterator[tuple["np.ndarray", "np.ndarray", Callable[[int], HostRequest]]]:
-    """Chunk a request stream into ``(lpns, klass, request_at)`` columns.
+    requests: "Iterable[HostRequest] | RequestBatch", size: int, plan: bool
+) -> Iterator[tuple[Iterable[tuple[int, int, int]], "np.ndarray | None", Callable[[int], HostRequest]]]:
+    """Chunk a request stream into ``(segments, lpns, request_at)``.
 
-    ``klass`` classifies each request for the segment splitter: single-page
-    reads (:data:`_RUN_READ`) and single-page writes (:data:`_RUN_WRITE`) are
-    planner-servable shapes, everything else is :data:`_RUN_SCALAR`.
+    With ``plan`` the chunk's requests are classified for :func:`_segments`:
+    single-page reads (:data:`_RUN_READ`) and single-page writes
+    (:data:`_RUN_WRITE`) are planner-servable shapes, everything else is
+    :data:`_RUN_SCALAR`, and ``lpns`` is the chunk's LPN column.  Without it
+    the whole chunk is one scalar segment and no column is built.
+
     ``request_at(i)`` materializes chunk-local request ``i`` for the scalar
-    path; for a :class:`RequestBatch` source it converts the chunk's columns
+    step.  A planned :class:`RequestBatch` source is sliced zero-copy (its
+    columns already exist) and ``request_at`` converts the chunk's columns
     with one ``tolist`` per chunk on first use, so a planner-less design
     (LeaFTL) pays list indexing per fallback request instead of NumPy scalar
-    extraction.  A :class:`RequestBatch` source is otherwise sliced zero-copy
-    (its columns already exist); any other iterable is buffered ``batch``
-    requests at a time, so generators stream without being drained up front.
+    extraction.  Any other source is buffered ``size`` requests at a time,
+    so generators stream without being drained up front.
     """
-    if isinstance(requests, RequestBatch):
+    if plan and isinstance(requests, RequestBatch):
         lpns = requests.lpns
         single = requests.npages == 1
         klass_all = np.where(
@@ -153,8 +161,8 @@ def _iter_request_chunks(
         )
         total = len(requests)
         read_op, write_op = OpType.READ, OpType.WRITE
-        for chunk_start in range(0, total, batch):
-            chunk_end = chunk_start + batch
+        for chunk_start in range(0, total, size):
+            chunk_end = chunk_start + size
             if chunk_end > total:
                 chunk_end = total
 
@@ -171,16 +179,19 @@ def _iter_request_chunks(
                     npages=_cache[2][i],
                 )
 
-            yield lpns[chunk_start:chunk_end], klass_all[chunk_start:chunk_end], request_at
+            yield _segments(klass_all[chunk_start:chunk_end]), lpns[chunk_start:chunk_end], request_at
         return
     read_op = OpType.READ
     write_op = OpType.WRITE
     iterator = iter(requests)
     while True:
-        chunk = list(islice(iterator, batch))
+        chunk = list(islice(iterator, size))
         if not chunk:
             return
         n = len(chunk)
+        if not plan:
+            yield ((0, n, _RUN_SCALAR),), None, chunk.__getitem__
+            continue
         lpns = np.fromiter((request.lpn for request in chunk), np.int64, count=n)
         klass = np.fromiter(
             (
@@ -192,7 +203,7 @@ def _iter_request_chunks(
             np.int8,
             count=n,
         )
-        yield lpns, klass, chunk.__getitem__
+        yield _segments(klass), lpns, chunk.__getitem__
 
 
 @dataclass
@@ -251,9 +262,8 @@ class SSD:
         self.engine = TimingEngine(self.geometry.num_chips, self.timing, self.stats)
         self.energy_model = energy_model or EnergyModel()
         self._clock_us = 0.0
-        #: Optional windowed telemetry (:meth:`enable_observability`).  ``None``
-        #: keeps every request loop on its unobserved variant — the dispatch
-        #: happens once per ``run``/``replay`` call, never per request.
+        #: Optional windowed telemetry (:meth:`enable_observability`).  Each
+        #: ``run``/``replay``/``submit`` call checks it (and the tracer) once.
         self.recorder: WindowedRecorder | None = None
         #: Structured event tracer; the shared no-op by default.
         self.tracer = NULL_TRACER
@@ -290,9 +300,10 @@ class SSD:
         into the device and its FTL's GC/eviction hook sites.  Either may be
         given alone.  Returns the active recorder (or ``None``).
 
-        Enabling observability routes ``run``/``replay`` through observed loop
-        variants — resolved once per call, so the unobserved hot loops stay
-        byte-for-byte identical when this method is never called.
+        ``run``/``replay``/``submit`` resolve observability once per call
+        into a local flag that guards one per-request hook, so a device this
+        method was never called on pays one branch per request and records
+        nothing.
         """
         if window_us is not None:
             recorder = WindowedRecorder(window_us)
@@ -303,209 +314,17 @@ class SSD:
             self.ftl.tracer = tracer
         return self.recorder
 
-    @property
-    def _observing(self) -> bool:
-        return self.recorder is not None or self.tracer.enabled
-
     # --------------------------------------------------------------- running
-    def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
-        """Process a single host request; returns its completion time."""
-        issue = self._clock_us if issue_time_us is None else issue_time_us
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.now_us = issue
-        buffer = self.ftl.encode(request, issue)
-        finish = self.engine.execute_buffer(buffer, issue)
-        is_read = request.op is OpType.READ
-        self.stats.record_latency(is_read, finish - issue)
-        if self.recorder is not None:
-            self.recorder.record_scalar(is_read, request.npages, issue, finish - issue, buffer)
-        self._clock_us = max(self._clock_us, finish)
-        self.stats.finish_time_us = self._clock_us
-        return finish
-
-    def run(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int = 1,
-        batch: int | None = None,
-        progress: Callable[[int], None] | None = None,
-    ) -> RunResult:
-        """Closed-loop execution: ``threads`` psync workers share the request stream.
-
-        With ``batch=N`` (N > 1) the device runs the vectorized kernel:
-        requests are pulled ``N`` at a time, runs of single-page reads and
-        single-page writes are served array-at-a-time through the FTL's
-        planners (:meth:`~repro.core.base.FTLBase.begin_read_run` /
-        :meth:`~repro.core.base.FTLBase.begin_write_run`) and everything else
-        falls back to the scalar path per request.  Results are bit-identical
-        to ``batch=None``; passing the stream as a :class:`RequestBatch`
-        avoids materializing request objects on the fast path entirely.
-        ``batch=1`` degenerates to one request per "run" — there is nothing to
-        vectorize — so it skips the packing machinery and runs the scalar loop
-        directly.
-        """
-        if batch is not None:
-            if batch <= 0:
-                raise ConfigurationError("batch must be positive")
-            if batch > 1:
-                if self._observing:
-                    return self._run_batched_observed(
-                        requests, threads=threads, batch=batch, progress=progress
-                    )
-                return self._run_batched(
-                    requests, threads=threads, batch=batch, progress=progress
-                )
-        if self._observing:
-            return self._run_scalar_observed(requests, threads=threads, progress=progress)
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        start = self._clock_us
-        # Min-heap of (free-time, slot): the next request always goes to the
-        # earliest-free thread (ties to the lowest slot, matching the previous
-        # linear scan) in O(log threads) instead of O(threads).
-        thread_free: list[tuple[float, int]] = [(start, slot) for slot in range(threads)]
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        iterator: Iterator[HostRequest] = iter(requests)
-        for request in iterator:
-            issue, slot = thread_free[0]
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is read_op, finish - issue)
-            heapreplace(thread_free, (finish, slot))
-            completed += 1
-            if progress is not None and completed % 10_000 == 0:
-                progress(completed)
-        self._clock_us = max(self._clock_us, max(free for free, _ in thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _run_batched(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int,
-        batch: int,
-        progress: Callable[[int], None] | None,
-    ) -> RunResult:
-        """Array-at-a-time closed-loop execution (``run(..., batch=N)``).
-
-        The thread heap holds bare free-time floats: psync threads are
-        indistinguishable, so dropping the scalar loop's slot indices changes
-        nothing observable while letting the engine's batch loop
-        ``heapreplace`` floats directly.  Progress callbacks fire at the same
-        10k-request marks as the scalar loop, emitted inside the chunk loop
-        (a planner step spanning a mark emits it immediately, not at chunk
-        end).
-        """
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        if batch <= 0:
-            raise ConfigurationError("batch must be positive")
-        start = self._clock_us
-        thread_free: list[float] = [start] * threads
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        execute_read_batch = self.engine.execute_read_batch
-        execute_write_batch = self.engine.execute_write_batch
-        ftl = self.ftl
-        ftl_encode = ftl.encode
-        begin_read_run = ftl.begin_read_run
-        begin_write_run = ftl.begin_write_run
-        stats = self.stats
-        record_latency = stats.record_latency
-        record_latencies = stats.record_latencies
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        for lpns, klass, request_at in _iter_request_chunks(requests, batch):
-            for seg_start, seg_end, kind in _segments(klass):
-                is_read = kind == _RUN_READ
-                if is_read:
-                    planner = begin_read_run(lpns[seg_start:seg_end])
-                elif kind == _RUN_WRITE:
-                    planner = begin_write_run(lpns[seg_start:seg_end])
-                else:
-                    planner = None
-                if planner is None:
-                    # Multi-page requests, or a design with no fast path for
-                    # this run class (LeaFTL): the scalar loop, per request.
-                    for i in range(seg_start, seg_end):
-                        request = request_at(i)
-                        issue = thread_free[0]
-                        buffer = ftl_encode(request, issue)
-                        finish = engine_execute(buffer, issue)
-                        record_latency(request.op is read_op, finish - issue)
-                        heapreplace(thread_free, finish)
-                        completed += 1
-                        if progress is not None and completed % 10_000 == 0:
-                            progress(completed)
-                    continue
-                pos = seg_start
-                while pos < seg_end:
-                    if is_read:
-                        k, data_chips, trans_chips, trans_count, computes = planner.take()
-                        if k:
-                            latencies = execute_read_batch(
-                                data_chips,
-                                trans_chips,
-                                thread_free,
-                                data_code=planner.data_code,
-                                trans_code=planner.trans_code,
-                                trans_count=trans_count,
-                                computes=computes,
-                            )
-                    else:
-                        k, write_chips = planner.take()
-                        if k:
-                            latencies = execute_write_batch(
-                                write_chips, thread_free, code=planner.program_code
-                            )
-                    if k:
-                        record_latencies(is_read, latencies)
-                        if progress is not None:
-                            next_mark = completed - completed % 10_000 + 10_000
-                            completed += k
-                            while next_mark <= completed:
-                                progress(next_mark)
-                                next_mark += 10_000
-                        else:
-                            completed += k
-                        pos += k
-                        if pos >= seg_end:
-                            break
-                    # The planner refused the request at the cursor: run it
-                    # through the scalar path (every request in a fast run is
-                    # a single-page read or write) and resume batching after it.
-                    request = request_at(pos)
-                    issue = thread_free[0]
-                    buffer = ftl_encode(request, issue)
-                    finish = engine_execute(buffer, issue)
-                    record_latency(is_read, finish - issue)
-                    heapreplace(thread_free, finish)
-                    completed += 1
-                    if progress is not None and completed % 10_000 == 0:
-                        progress(completed)
-                    pos += 1
-                    planner.skip()
-        self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
     def _record_scalar_observed(
         self, request: HostRequest, issue: float, finish: float, buffer
     ) -> None:
-        """Shared per-request hooks of the observed scalar paths.
+        """The per-request observability hook of the scalar step.
 
-        Runs *after* the engine executed ``buffer`` (whose ``ops`` hold
-        exactly the commands of this request until the next ``encode``):
-        windowed attribution plus a translation-read trace instant per
-        translation command.
+        Every driver calls it only while observability is on (a flag resolved
+        once per call), right *after* the engine executed ``buffer`` — whose
+        ``ops`` hold exactly this request's commands until the next
+        ``encode``: windowed attribution plus a translation-read trace instant
+        per translation command.
         """
         recorder = self.recorder
         if recorder is not None:
@@ -521,75 +340,65 @@ class SSD:
                         "translation_read", issue, {"chip": ops[i + 1], "ppn": ops[i + 2]}
                     )
 
-    def _run_scalar_observed(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int,
-        progress: Callable[[int], None] | None,
-    ) -> RunResult:
-        """The scalar closed loop of :meth:`run` with observability hooks.
-
-        A separate method so the unobserved loop keeps its branch-free body;
-        :meth:`run` dispatches here once per call when a recorder or tracer is
-        active.  Timing arithmetic, request order and statistics are identical
-        to the unobserved loop — the hooks only *read* what it computes.
-        """
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        start = self._clock_us
-        thread_free: list[tuple[float, int]] = [(start, slot) for slot in range(threads)]
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        record_observed = self._record_scalar_observed
-        tracer = self.tracer
-        trace = tracer.enabled
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        for request in iter(requests):
-            issue, slot = thread_free[0]
-            if trace:
-                tracer.now_us = issue
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is read_op, finish - issue)
-            record_observed(request, issue, finish, buffer)
-            heapreplace(thread_free, (finish, slot))
-            completed += 1
-            if progress is not None and completed % 10_000 == 0:
-                progress(completed)
-        self._clock_us = max(self._clock_us, max(free for free, _ in thread_free))
+    def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
+        """Process a single host request; returns its completion time."""
+        issue = self._clock_us if issue_time_us is None else issue_time_us
+        observe = self.recorder is not None or self.tracer.enabled
+        if observe:
+            self.tracer.now_us = issue
+        buffer = self.ftl.encode(request, issue)
+        finish = self.engine.execute_buffer(buffer, issue)
+        self.stats.record_latency(request.op is OpType.READ, finish - issue)
+        if observe:
+            self._record_scalar_observed(request, issue, finish, buffer)
+        self._clock_us = max(self._clock_us, finish)
         self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
+        return finish
 
-    def _run_batched_observed(
+    def run(
         self,
         requests: "Iterable[HostRequest] | RequestBatch",
         *,
-        threads: int,
-        batch: int,
-        progress: Callable[[int], None] | None,
+        threads: int = 1,
+        batch: int | None = None,
+        progress: Callable[[int], None] | None = None,
     ) -> RunResult:
-        """:meth:`_run_batched` with observability hooks (see :meth:`_run_scalar_observed`).
+        """Closed-loop execution: ``threads`` psync workers share the request stream.
 
-        Planner-served runs go through the engine's observed batch kernels,
-        which attribute each request to its issue window with the same
-        translation-then-data accounting order as the scalar buffer walk, so
-        the window series is bit-identical between the two modes.  A
-        ``batch_plan`` instant per planner run records the planning decision.
+        Each request issues on the earliest-free thread.  The thread heap
+        holds bare free-time floats: psync threads are indistinguishable, so
+        the free-time multiset is the whole state and the engine's batch
+        kernels ``heapreplace`` it directly.
+
+        With ``batch=N`` (N > 1) requests are pulled ``N`` at a time, runs of
+        single-page reads and single-page writes are served array-at-a-time
+        through the FTL's planners
+        (:meth:`~repro.core.base.FTLBase.begin_read_run` /
+        :meth:`~repro.core.base.FTLBase.begin_write_run`) and every request a
+        planner refuses or cannot serve takes the scalar step
+        (``encode`` → ``execute_buffer``).  Results are bit-identical to
+        ``batch=None``, where no planner is consulted and every request takes
+        the scalar step; ``batch=1`` is the same, as there is nothing to
+        vectorize.  Passing the stream as a :class:`RequestBatch` avoids
+        materializing request objects on the fast path entirely.
+
+        Observability (:meth:`enable_observability`) is resolved once per
+        call: the scalar step then calls one per-request hook and the batch
+        kernels attribute their requests themselves.  ``progress`` fires at
+        every 10k completed requests.
         """
         if threads <= 0:
             raise ConfigurationError("threads must be positive")
-        if batch <= 0:
+        if batch is not None and batch <= 0:
             raise ConfigurationError("batch must be positive")
+        plan = batch is not None and batch > 1
         start = self._clock_us
         thread_free: list[float] = [start] * threads
         completed = 0
-        engine_execute = self.engine.execute_buffer
-        execute_read_batch = self.engine.execute_read_batch_observed
-        execute_write_batch = self.engine.execute_write_batch_observed
+        engine = self.engine
+        engine_execute = engine.execute_buffer
+        execute_read_batch = engine.execute_read_batch
+        execute_write_batch = engine.execute_write_batch
         ftl = self.ftl
         ftl_encode = ftl.encode
         begin_read_run = ftl.begin_read_run
@@ -597,94 +406,89 @@ class SSD:
         stats = self.stats
         record_latency = stats.record_latency
         record_latencies = stats.record_latencies
-        record_observed = self._record_scalar_observed
         recorder = self.recorder
         tracer = self.tracer
         trace = tracer.enabled
+        observe = recorder is not None or trace
+        record_observed = self._record_scalar_observed
         heapreplace = heapq.heapreplace
         read_op = OpType.READ
-        for lpns, klass, request_at in _iter_request_chunks(requests, batch):
-            for seg_start, seg_end, kind in _segments(klass):
-                is_read = kind == _RUN_READ
-                if is_read:
+        chunks = _iter_request_chunks(requests, batch if plan else _SCALAR_CHUNK, plan)
+        for segments, lpns, request_at in chunks:
+            for seg_start, seg_end, kind in segments:
+                if kind == _RUN_READ:
                     planner = begin_read_run(lpns[seg_start:seg_end])
                 elif kind == _RUN_WRITE:
                     planner = begin_write_run(lpns[seg_start:seg_end])
                 else:
                     planner = None
-                if planner is None:
-                    for i in range(seg_start, seg_end):
-                        request = request_at(i)
-                        issue = thread_free[0]
-                        if trace:
-                            tracer.now_us = issue
-                        buffer = ftl_encode(request, issue)
-                        finish = engine_execute(buffer, issue)
-                        record_latency(request.op is read_op, finish - issue)
-                        record_observed(request, issue, finish, buffer)
-                        heapreplace(thread_free, finish)
-                        completed += 1
-                        if progress is not None and completed % 10_000 == 0:
-                            progress(completed)
-                    continue
                 seg_issue = thread_free[0]
                 fallbacks = 0
                 pos = seg_start
                 while pos < seg_end:
-                    if is_read:
-                        k, data_chips, trans_chips, trans_count, computes = planner.take()
-                        if k:
-                            latencies = execute_read_batch(
-                                data_chips,
-                                trans_chips,
-                                thread_free,
-                                data_code=planner.data_code,
-                                trans_code=planner.trans_code,
-                                trans_count=trans_count,
-                                computes=computes,
-                                recorder=recorder,
-                                tracer=tracer if trace else None,
-                            )
+                    if planner is None:
+                        step_end = seg_end
                     else:
-                        k, write_chips = planner.take()
-                        if k:
-                            latencies = execute_write_batch(
-                                write_chips,
-                                thread_free,
-                                code=planner.program_code,
-                                recorder=recorder,
-                            )
-                    if k:
-                        record_latencies(is_read, latencies)
-                        if progress is not None:
-                            next_mark = completed - completed % 10_000 + 10_000
-                            completed += k
-                            while next_mark <= completed:
-                                progress(next_mark)
-                                next_mark += 10_000
+                        if kind == _RUN_READ:
+                            k, data_chips, trans_chips, trans_count, computes = planner.take()
+                            if k:
+                                latencies = execute_read_batch(
+                                    data_chips,
+                                    trans_chips,
+                                    thread_free,
+                                    data_code=planner.data_code,
+                                    trans_code=planner.trans_code,
+                                    trans_count=trans_count,
+                                    computes=computes,
+                                    recorder=recorder,
+                                    tracer=tracer,
+                                )
                         else:
-                            completed += k
-                        pos += k
-                        if pos >= seg_end:
-                            break
-                    # The planner refused the request at the cursor: scalar
-                    # path with the same hooks, then resume batching after it.
-                    fallbacks += 1
-                    request = request_at(pos)
-                    issue = thread_free[0]
-                    if trace:
-                        tracer.now_us = issue
-                    buffer = ftl_encode(request, issue)
-                    finish = engine_execute(buffer, issue)
-                    record_latency(is_read, finish - issue)
-                    record_observed(request, issue, finish, buffer)
-                    heapreplace(thread_free, finish)
-                    completed += 1
-                    if progress is not None and completed % 10_000 == 0:
-                        progress(completed)
-                    pos += 1
-                    planner.skip()
-                if trace:
+                            k, write_chips = planner.take()
+                            if k:
+                                latencies = execute_write_batch(
+                                    write_chips,
+                                    thread_free,
+                                    code=planner.program_code,
+                                    recorder=recorder,
+                                )
+                        if k:
+                            record_latencies(kind == _RUN_READ, latencies)
+                            if progress is not None:
+                                next_mark = completed - completed % 10_000 + 10_000
+                                completed += k
+                                while next_mark <= completed:
+                                    progress(next_mark)
+                                    next_mark += 10_000
+                            else:
+                                completed += k
+                            pos += k
+                            if pos >= seg_end:
+                                break
+                        # The planner refused the request at its cursor.
+                        step_end = pos + 1
+                    # The scalar step: every request of a planner-less
+                    # segment, or the one request a planner refused.
+                    for i in range(pos, step_end):
+                        request = request_at(i)
+                        issue = thread_free[0]
+                        if observe:
+                            tracer.now_us = issue
+                        buffer = ftl_encode(request, issue)
+                        finish = engine_execute(buffer, issue)
+                        record_latency(request.op is read_op, finish - issue)
+                        if observe:
+                            record_observed(request, issue, finish, buffer)
+                        heapreplace(thread_free, finish)
+                        completed += 1
+                        if progress is not None and completed % 10_000 == 0:
+                            progress(completed)
+                    pos = step_end
+                    if planner is not None:
+                        # Batching resumes after the refused request.
+                        fallbacks += 1
+                        planner.skip()
+                if trace and planner is not None:
                     tracer.instant(
                         "batch_plan",
                         seg_issue,
@@ -695,48 +499,6 @@ class SSD:
                         },
                     )
         self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _replay_observed(
-        self,
-        requests: Iterable[HostRequest],
-        *,
-        streams: int,
-        stream_free: "list[float] | None" = None,
-        origin_us: "float | None" = None,
-    ) -> RunResult:
-        """:meth:`replay` with observability hooks (see :meth:`_run_scalar_observed`).
-
-        Streams issue out of global time order, so windows are attributed by
-        each request's own issue time; the recorder keeps all windows open to
-        absorb the non-monotone arrivals.
-        """
-        start = self._clock_us
-        origin = start if origin_us is None else origin_us
-        if stream_free is None:
-            stream_free = [origin] * streams
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        record_observed = self._record_scalar_observed
-        tracer = self.tracer
-        trace = tracer.enabled
-        streams = len(stream_free)
-        for request in requests:
-            slot = request.stream_id % streams
-            arrival = origin + (request.issue_time_us or 0.0)
-            issue = max(arrival, stream_free[slot])
-            if trace:
-                tracer.now_us = issue
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is OpType.READ, finish - issue)
-            record_observed(request, issue, finish, buffer)
-            stream_free[slot] = finish
-            completed += 1
-        self._clock_us = max(self._clock_us, max(stream_free))
         self.stats.finish_time_us = self._clock_us
         return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
 
@@ -761,15 +523,15 @@ class SSD:
         arrival base across consecutive calls makes N chunked calls
         bit-identical to one monolithic call over the concatenated requests.
         Leave both ``None`` for the classic single-shot behaviour.
+
+        With observability on, streams issue out of global time order, so
+        windows are attributed by each request's own issue time; the recorder
+        keeps all windows open to absorb the non-monotone arrivals.
         """
         if streams <= 0:
             raise ConfigurationError("streams must be positive")
         if stream_free is not None and not stream_free:
             raise ConfigurationError("stream_free must be non-empty when given")
-        if self._observing:
-            return self._replay_observed(
-                requests, streams=streams, stream_free=stream_free, origin_us=origin_us
-            )
         start = self._clock_us
         origin = start if origin_us is None else origin_us
         if stream_free is None:
@@ -778,14 +540,22 @@ class SSD:
         engine_execute = self.engine.execute_buffer
         ftl_encode = self.ftl.encode
         record_latency = self.stats.record_latency
+        tracer = self.tracer
+        observe = self.recorder is not None or tracer.enabled
+        record_observed = self._record_scalar_observed
+        read_op = OpType.READ
         streams = len(stream_free)
         for request in requests:
             slot = request.stream_id % streams
             arrival = origin + (request.issue_time_us or 0.0)
             issue = max(arrival, stream_free[slot])
+            if observe:
+                tracer.now_us = issue
             buffer = ftl_encode(request, issue)
             finish = engine_execute(buffer, issue)
-            record_latency(request.op is OpType.READ, finish - issue)
+            record_latency(request.op is read_op, finish - issue)
+            if observe:
+                record_observed(request, issue, finish, buffer)
             stream_free[slot] = finish
             completed += 1
         self._clock_us = max(self._clock_us, max(stream_free))

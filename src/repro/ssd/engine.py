@@ -19,11 +19,16 @@ no command objects, no enum dispatch.  :meth:`TimingEngine.execute` executes
 the object-level :class:`Transaction` view with identical timing arithmetic
 and counts through :meth:`SimulationStats.record_commands`, which encodes into
 the same flat buckets; the two paths therefore cannot drift apart.
+:meth:`TimingEngine.execute_read_batch` and
+:meth:`TimingEngine.execute_write_batch` specialize the buffer loop for the
+single-command shapes the FTLs' batch planners emit; given the device's
+windowed recorder or tracer as keywords, they also record every request.
 
-The host side is a closed-loop ("psync") thread model: each of the N threads
-issues its next request as soon as its previous one completes, exactly like
-``fio --ioengine=psync --numjobs=N``.  Open-loop (timestamped trace) replay is
-also supported: a request is issued at ``max(arrival, thread free)``.
+The host models live in :class:`~repro.ssd.device.SSD`: ``run`` is the
+closed-loop ("psync") thread model — each of the N threads issues its next
+request as soon as its previous one completes, exactly like
+``fio --ioengine=psync --numjobs=N`` — and ``replay`` the open loop, issuing
+a timestamped request at ``max(arrival, stream free)``.
 """
 
 from __future__ import annotations
@@ -209,12 +214,13 @@ class TimingEngine:
         trans_code: int,
         trans_count: int = 0,
         computes: list | None = None,
+        recorder=None,
+        tracer=None,
     ) -> list:
         """Execute a planner's batch of single-page reads; returns their latencies.
 
-        ``thread_free`` is the closed-loop thread heap as **bare floats** (the
-        batched device loop drops the slot indices the scalar loop carries —
-        threads are indistinguishable, so the free-time multiset is the whole
+        ``thread_free`` is the closed-loop thread heap as **bare floats**
+        (threads are indistinguishable, so the free-time multiset is the whole
         state).  Request ``i`` issues at ``thread_free[0]`` (the earliest-free
         thread), pays its controller compute charge (``computes[i]``, when the
         planner supplies a compute column), then one translation read on
@@ -231,6 +237,12 @@ class TimingEngine:
         ``0.0``, which is bitwise-neutral for the non-negative timestamps the
         clock produces.  ``busy_time`` is accumulated per command (never as
         ``count * duration``) to keep float association identical.
+
+        Observability: a :class:`~repro.obs.windows.WindowedRecorder`
+        ``recorder`` gets every request attributed to its issue time, and an
+        enabled ``tracer`` a ``translation_read`` instant per translation
+        read.  Both run in the general loop; an unobserved batch of pure data
+        reads (no translation or compute column) takes a hit-only loop.
         """
         n = len(data_chips)
         counts = self._command_counts
@@ -243,7 +255,10 @@ class TimingEngine:
         latencies: list = []
         append_latency = latencies.append
         heapreplace = heapq.heapreplace
-        if trans_chips is None and computes is None:
+        record = None if recorder is None else recorder.record_fast_read
+        if trans_chips is None and computes is None and record is None:
+            # Hit-only batch: with no translation column there is nothing to
+            # trace either.
             for chip in data_chips:
                 issue = thread_free[0]
                 busy = busy_until[chip]
@@ -253,65 +268,8 @@ class TimingEngine:
                 busy_time[chip] += data_duration
                 heapreplace(thread_free, finish)
                 append_latency(finish - issue)
-        else:
-            trans_duration = self._duration_by_code[trans_code]
-            for i in range(n):
-                issue = thread_free[0]
-                cursor = issue if computes is None else issue + computes[i]
-                trans_chip = -1 if trans_chips is None else trans_chips[i]
-                if trans_chip >= 0:
-                    busy = busy_until[trans_chip]
-                    cursor = (busy if busy > cursor else cursor) + trans_duration
-                    busy_until[trans_chip] = cursor
-                    busy_time[trans_chip] += trans_duration
-                chip = data_chips[i]
-                busy = busy_until[chip]
-                start = busy if busy > cursor else cursor
-                finish = start + data_duration
-                busy_until[chip] = finish
-                busy_time[chip] += data_duration
-                heapreplace(thread_free, finish)
-                append_latency(finish - issue)
-        return latencies
-
-    def execute_read_batch_observed(
-        self,
-        data_chips: list,
-        trans_chips: list | None,
-        thread_free: list,
-        *,
-        data_code: int,
-        trans_code: int,
-        trans_count: int = 0,
-        computes: list | None = None,
-        recorder=None,
-        tracer=None,
-    ) -> list:
-        """:meth:`execute_read_batch` plus per-request observability hooks.
-
-        Only the *general* loop is needed: with ``computes is None`` the
-        compute charge vanishes and with ``trans_chips is None`` every
-        ``trans_chip`` is ``-1``, so the arithmetic below is bit-identical to
-        both branches of the unobserved kernel.  Each request additionally
-        lands in the :class:`~repro.obs.windows.WindowedRecorder` (attributed
-        to its issue time) and emits a translation-read instant when a tracer
-        is active.  The batched device loop calls this variant only when
-        observability is enabled, so the unobserved hot path keeps its
-        branch-free shape.
-        """
-        n = len(data_chips)
-        counts = self._command_counts
-        counts[data_code] += n
-        if trans_count:
-            counts[trans_code] += trans_count
-        data_duration = self._duration_by_code[data_code]
+            return latencies
         trans_duration = self._duration_by_code[trans_code]
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        latencies: list = []
-        append_latency = latencies.append
-        heapreplace = heapq.heapreplace
-        record = None if recorder is None else recorder.record_fast_read
         trace = tracer is not None and tracer.enabled
         for i in range(n):
             issue = thread_free[0]
@@ -336,7 +294,9 @@ class TimingEngine:
                 record(issue, finish - issue, data_code, trans_code, trans_chip >= 0)
         return latencies
 
-    def execute_write_batch(self, chips: list, thread_free: list, *, code: int) -> list:
+    def execute_write_batch(
+        self, chips: list, thread_free: list, *, code: int, recorder=None
+    ) -> list:
         """Execute a write planner's batch of single-page programs.
 
         The mirror of :meth:`execute_read_batch` for the one shape the write
@@ -344,31 +304,9 @@ class TimingEngine:
         and bit-identical to :meth:`execute_buffer` on it: request ``i``
         issues at ``thread_free[0]``, serializes its program on ``chips[i]``
         and re-queues the thread at the program's finish.  Returns the
-        per-request latencies in issue order.
+        per-request latencies in issue order; a ``recorder`` gets every
+        request attributed to its issue time.
         """
-        counts = self._command_counts
-        counts[code] += len(chips)
-        duration = self._duration_by_code[code]
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        latencies: list = []
-        append_latency = latencies.append
-        heapreplace = heapq.heapreplace
-        for chip in chips:
-            issue = thread_free[0]
-            busy = busy_until[chip]
-            start = busy if busy > issue else issue
-            finish = start + duration
-            busy_until[chip] = finish
-            busy_time[chip] += duration
-            heapreplace(thread_free, finish)
-            append_latency(finish - issue)
-        return latencies
-
-    def execute_write_batch_observed(
-        self, chips: list, thread_free: list, *, code: int, recorder=None
-    ) -> list:
-        """:meth:`execute_write_batch` plus per-request windowed attribution."""
         counts = self._command_counts
         counts[code] += len(chips)
         duration = self._duration_by_code[code]

@@ -33,7 +33,7 @@ from repro.experiments.orchestrator import (
     plan_tasks,
     run_orchestrated,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ALL_FTLS, ExperimentResult
 
 #: Call log for the counting fake (meaningful only for in-process jobs=1 runs).
 _FAKE_CALLS: list[str] = []
@@ -337,6 +337,30 @@ class TestObservabilityFlags:
             trace = json.loads(Path(device["trace_file"]).read_text())
             assert isinstance(trace["traceEvents"], list) and trace["traceEvents"]
 
+    def test_split_experiment_keeps_every_shards_telemetry(self, tmp_path):
+        json_dir, trace_dir = tmp_path / "json", tmp_path / "traces"
+        code = cli_main(
+            ["fig19", "--scale", "tiny", "--metrics-window-us", "1000",
+             "--trace-out", str(trace_dir), "--json-dir", str(json_dir)]
+        )
+        assert code == 0
+        payload = json.loads((json_dir / "fig19.json").read_text())
+        devices = payload["raw"]["telemetry"]["devices"]
+        assert [device["ftl"] for device in devices] == list(ALL_FTLS)
+        for device in devices:
+            assert sum(device["windows"]["reads"]) > 0
+            events = json.loads(Path(device["trace_file"]).read_text())["traceEvents"]
+            names = {event["name"] for event in events}
+            if device["ftl"] in ("dftl", "tpftl"):
+                assert "translation_read" in names
+
+    def test_trace_only_run_reports_trace_files(self, tmp_path, capsys):
+        code = cli_main(["fig19", "--scale", "tiny", "--trace-out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "windowed telemetry" not in out
+        assert out.count("trace written to") == len(ALL_FTLS)
+
     def test_observed_results_cached_separately(self, tmp_path, fake_registry):
         cache_dir = tmp_path / "cache"
         run_orchestrated(["fakealpha"], scale="tiny", jobs=1, cache_dir=cache_dir)
@@ -379,9 +403,10 @@ class TestWarmPlanTable:
             runner, _ = EXPERIMENTS[name]
             source = inspect.getsource(sys.modules[runner.__module__])
             if plan is None:
-                assert "prepare_ssd(" not in source, (
-                    f"{name} warms devices but _WARM_PLANS says it does not"
-                )
+                warms = any(f'warmup="{mode}"' in source for mode in ("steady", "fill"))
+                assert not warms and (
+                    "prepare_ssd(" not in source or 'warmup="none"' in source
+                ), f"{name} warms devices but _WARM_PLANS says it does not"
             elif plan == "custom":
                 assert "prepare_ssd(" in source and "config=" in source, (
                     f"{name} is marked 'custom' but does not sweep configs"

@@ -27,7 +27,9 @@ from repro import SSD
 from repro.nand.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
-from repro.ssd.request import HostRequest, OpType
+from repro.replay import iter_trace_requests, state_fingerprint
+from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, command_code
+from repro.workloads.traces import synthesize_systor
 from test_kernel_equivalence import GOLDEN
 
 WINDOW_US = 100_000.0
@@ -143,15 +145,54 @@ class TestNonInterference:
         def boom(*args, **kwargs):
             raise AssertionError("observed code path entered with observability off")
 
-        monkeypatch.setattr(SSD, "_run_scalar_observed", boom)
-        monkeypatch.setattr(SSD, "_run_batched_observed", boom)
-        monkeypatch.setattr(SSD, "_replay_observed", boom)
+        # The per-request hook is the only observed code in the drivers, and
+        # every trace hook site goes through ``instant`` on the null tracer.
+        monkeypatch.setattr(SSD, "_record_scalar_observed", boom)
+        monkeypatch.setattr(NullTraceRecorder, "instant", boom)
 
         ssd = SSD.create("dftl", tiny_geometry)
         ssd.fill_sequential(io_pages=16)
-        requests = _single_page_workload(tiny_geometry, count=100)
+        filled = ssd.stats.host_write_requests
+        requests = _single_page_workload(tiny_geometry, count=200)
         ssd.run(requests[:50], threads=2)
-        ssd.run(requests[50:], threads=2, batch=16)
+        ssd.run(requests[50:100], threads=2, batch=16)
+        ssd.replay(requests[100:150], streams=2)
+        for request in requests[150:]:
+            ssd.submit(request)
+        assert ssd.stats.host_read_requests + ssd.stats.host_write_requests == filled + 200
+
+    def test_batched_run_and_chunked_replay_unchanged_by_observing(self, ftl_name):
+        geometry = golden_geometry()
+        records = synthesize_systor(num_ios=250, seed=7)
+
+        def drive(observe: bool):
+            ssd = SSD.create(ftl_name, geometry)
+            if observe:
+                ssd.enable_observability(window_us=WINDOW_US, tracer=TraceRecorder())
+            ssd.fill_sequential(io_pages=16)
+            ssd.run(_single_page_workload(geometry), threads=2, batch=64)
+            origin = ssd.now_us
+            stream_free = [origin] * 4
+            for chunk in iter_trace_requests(
+                iter(records), geometry, chunk_requests=7, time_scale=1e-4
+            ):
+                ssd.replay(chunk, stream_free=stream_free, origin_us=origin)
+            return (
+                dict(ssd.stats.summary()),
+                state_fingerprint(
+                    {
+                        "ftl": ssd.ftl.state_dict(),
+                        "stats": ssd.stats.state_dict(),
+                        "engine": ssd.engine.timeline.state_dict(),
+                        "clock_us": ssd.now_us,
+                    }
+                ),
+            )
+
+        plain_summary, plain_state = drive(False)
+        observed_summary, observed_state = drive(True)
+        assert observed_summary == plain_summary
+        assert observed_state == plain_state
 
     def test_null_tracer_is_shared_and_inert(self, tiny_geometry):
         ssd = SSD.create("dftl", tiny_geometry)
@@ -160,6 +201,38 @@ class TestNonInterference:
         assert not NullTraceRecorder.enabled
         NULL_TRACER.instant("gc", 0.0, {"victim_block": 1})
         NULL_TRACER.complete("gc", 0.0, 10.0)
+
+
+class TestTranslationReadInstants:
+    """Every driver traces one ``translation_read`` per translation read it counts."""
+
+    @pytest.mark.parametrize("ftl", ["dftl", "tpftl"])
+    @pytest.mark.parametrize("mode", ["submit", "run", "run_batched", "replay"])
+    def test_instants_match_translation_read_count(self, ftl, mode):
+        ssd = SSD.create(ftl, golden_geometry())
+        ssd.fill_sequential(io_pages=16)
+        tracer = TraceRecorder()
+        ssd.enable_observability(tracer=tracer)
+        code = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+        before = ssd.stats.command_counts[code]
+        requests = [
+            request for phase in _mixed_workload(ssd.geometry) for request in phase
+        ] + _single_page_workload(ssd.geometry)
+        if mode == "submit":
+            for request in requests:
+                ssd.submit(request)
+        elif mode == "run":
+            ssd.run(requests, threads=2)
+        elif mode == "run_batched":
+            ssd.run(requests, threads=2, batch=64)
+        else:
+            ssd.replay(requests, streams=2)
+        grown = ssd.stats.command_counts[code] - before
+        instants = sum(
+            1 for event in tracer.export()["traceEvents"] if event["name"] == "translation_read"
+        )
+        assert grown > 0
+        assert instants == grown
 
 
 class TestModeEquivalence:
